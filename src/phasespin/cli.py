@@ -22,15 +22,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .continuity import (
-    TIGHT_POLICY,
     continuity_residual,
     current_dirac,
-    current_field_dirac,
     current_field_nonrel,
     current_nonrel,
     spatial_density,
 )
-from .distributions import DeltaLine, PVLine, Smooth
+from .distributions import DeltaLine, PVLine
+from .errors import PhaseSpaceError
 from .grids import PhaseGrid, WignerField
 from .quantizer import hamilton_symbol
 from .scattering import (
@@ -42,7 +41,7 @@ from .scattering import (
     solve_step_nonrel,
 )
 from .star import evolve
-from .verify import CRITERIA, IdentityCheck
+from .verify import CRITERIA, IdentityCheck, _check
 
 __all__ = ["main", "RunConfig", "RunReport", "run"]
 
@@ -87,10 +86,6 @@ def _id_rows(checks) -> list[dict]:
              "passed": int(c.passed), "detail": c.detail} for c in checks]
 
 
-def _check(name, value, tol, detail="") -> IdentityCheck:
-    return IdentityCheck(name, float(value), float(tol), bool(value <= tol), detail)
-
-
 def _term_rows(dw) -> list[dict]:
     rows = []
     for t in dw.terms:
@@ -118,8 +113,8 @@ def _run_free_nonrel(params: dict) -> tuple[dict, list[IdentityCheck]]:
     hbar = float(params.setdefault("hbar", 1.0))
     spin = params.setdefault("spin", "up")
     free = free_eigenstate_nonrel(p0, spin, mass=mass, hbar=hbar)
-    j = current_nonrel(free.wigner, 0.0, mass, TIGHT_POLICY)
-    rho = spatial_density(free.wigner, 0.3, TIGHT_POLICY)
+    j = current_nonrel(free.wigner, 0.0, mass)
+    rho = spatial_density(free.wigner, 0.3)
     checks = [
         _check("current-matches-closed-form",
                abs(j - p0 / (2.0 * math.pi * hbar * mass)), 1e-12),
@@ -143,7 +138,7 @@ def _run_free_dirac(params: dict) -> tuple[dict, list[IdentityCheck]]:
     hbar = float(params.setdefault("hbar", 1.0))
     branch = params.setdefault("sign", "particle")
     free = free_eigenstate_dirac(p0, branch, mass=mass, c=c, q=q, hbar=hbar)
-    j = current_dirac(free.wigner, 0.0, q=q, c=c, policy=TIGHT_POLICY)
+    j = current_dirac(free.wigner, 0.0, q=q, c=c)
     want = free.current
     negatives = sum(1 for t in free.wigner.terms if t.kind.amp < 0)
     checks = [
@@ -190,11 +185,11 @@ def _run_step(params: dict) -> tuple[dict, list[IdentityCheck]]:
     for xx in xs:
         if abs(xx) < 1e-12:
             continue  # the step sits at x = 0; sample either side of it
-        rho = spatial_density(sol.wigner, float(xx), TIGHT_POLICY)
+        rho = spatial_density(sol.wigner, float(xx))
         if mode == "nonrel":
-            j = current_nonrel(sol.wigner, float(xx), cfg.mass, TIGHT_POLICY)
+            j = current_nonrel(sol.wigner, float(xx), cfg.mass)
         else:
-            j = current_dirac(sol.wigner, float(xx), q=cfg.q, c=cfg.c, policy=TIGHT_POLICY)
+            j = current_dirac(sol.wigner, float(xx), q=cfg.q, c=cfg.c)
         profile.append({"x": float(xx), "rho": rho, "j": j,
                         "side": "left" if xx < 0 else "right"})
 
@@ -202,7 +197,6 @@ def _run_step(params: dict) -> tuple[dict, list[IdentityCheck]]:
         coeff_check = _check("transmission-plus-reflection",
                              abs(rep.transmission + rep.reflection - 1.0), 1e-12)
     else:
-        target = 1.0 if rep.regime == "klein" else 1.0
         val = (rep.reflection - rep.transmission - 1.0) if rep.regime == "klein" \
             else (rep.transmission + rep.reflection - 1.0)
         coeff_check = _check("coefficient-identity", abs(val), 1e-12,
@@ -253,8 +247,7 @@ def _run_klein_scan(params: dict) -> tuple[dict, list[IdentityCheck]]:
     c = float(params.setdefault("c", 1.0))
     q = float(params.setdefault("q", 1.0))
     v0_values = _parse_v0_values(params.setdefault("v0", "3.01:20:0.5"))
-    workers = int(os.environ.get("PHASESPIN_THREADS", "1"))
-    rows = klein_scan(energy, mass, c, q, v0_values, workers=workers)
+    rows = klein_scan(energy, mass, c, q, v0_values)
     table = []
     for r in rows:
         table.append({"v0": r.v0, "n_trans": r.n_trans, "n_ref": r.n_ref,
@@ -370,7 +363,6 @@ def run(cfg: RunConfig) -> RunReport:
     if cfg.command not in _COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
     started = time.perf_counter()
-    np.random.seed(cfg.seed % (2 ** 32))  # legacy consumers; criteria seed locally
     resolved = dict(cfg.params)
     tables, checks = _COMMANDS[cfg.command](resolved)
     report = RunReport(command=cfg.command, params=resolved,
@@ -526,7 +518,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report = run(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PhaseSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"command: {report.command}")

@@ -2,15 +2,23 @@
 
 Moments of distributional Wigner terms diverge when taken literally; they are
 defined through the damping e^{-alpha |p|} followed by the limit
-alpha -> 0+.  Every damped integral needed here reduces to two closed forms:
+alpha -> 0+.  For kappa = a x + b != 0 that limit is exact, term by term:
 
-    B_n(alpha, k) = integral p^n e^{-alpha|p|} e^{i k p} dp
-                  = n! [ (alpha - i k)^{-(n+1)} + (-1)^n (alpha + i k)^{-(n+1)} ]
+    DeltaLine  w(x) delta(p - p0)
+               -> w(x) p0^n
+    PVLine     amp sin(theta0 + kappa q) vp 1/q
+               -> amp pi p0^n sgn(kappa) cos(theta0)
+    Smooth     amp [sin(theta0 + kappa1 q) - sin(theta0 + kappa2 q)] / q
+               -> amp pi r^n (sgn kappa1 - sgn kappa2) cos(theta0)
 
-    P(alpha, k, p0) = vp integral e^{-alpha|p|} e^{i k p} / (p - p0) dp,
+with q = p - p0 (or p - r): the damped oscillatory moments
+integral p^j e^{-alpha|p|} e^{i kappa q} dp vanish in the limit, and the
+damped principal value of e^{i kappa q}/q tends to i pi sgn(kappa).
 
-the latter expressed with exponential integrals of complex argument.  The
-limit is taken by Neville extrapolation over a decreasing alpha sequence.
+Two kinds of point have no finite moment and raise instead of returning one:
+kappa = 0 inside a term's window (``ExtrapolationError``; the higher moments
+diverge there) and x on a finite edge of a term's window
+(``GridDomainError``; the term switches on or off at that x).
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import exp1, expi, factorial
 
 from .distributions import DeltaLine, DistributionalWigner, PVLine, Smooth
 from .errors import ExtrapolationError, GridDomainError
@@ -28,8 +35,6 @@ from .grids import PhaseGrid, WignerField
 from .states import SpinorWaveState
 
 __all__ = [
-    "RegularizationPolicy",
-    "TIGHT_POLICY",
     "CurrentSample",
     "regularized_moment",
     "correlation_moment",
@@ -44,28 +49,8 @@ __all__ = [
     "BeamDecomposition",
 ]
 
-
-@dataclass(frozen=True)
-class RegularizationPolicy:
-    """alpha -> 0+ prescription: geometric damping sequence plus Neville
-    extrapolation of the stated order, gated by a Cauchy check."""
-
-    alphas: tuple[float, ...] = tuple(0.1 * 2.0 ** (-k) for k in range(13))
-    richardson_order: int = 1
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        a = tuple(float(v) for v in self.alphas)
-        if len(a) < self.richardson_order + 2:
-            raise ValueError("alpha sequence too short for the requested order")
-        if any(v <= 0 for v in a) or any(a[i + 1] >= a[i] for i in range(len(a) - 1)):
-            raise ValueError("alphas must be strictly decreasing and positive")
-        object.__setattr__(self, "alphas", a)
-
-
-#: policy used where acceptance checks need ~1e-12 moment accuracy; the damped
-#: integrals are analytic in alpha, so a higher extrapolation order is safe
-TIGHT_POLICY = RegularizationPolicy(richardson_order=4, tolerance=1e-8)
+#: kept for callers of the former extrapolation policies; the exact limit needs none
+TIGHT_POLICY = None
 
 
 @dataclass(frozen=True)
@@ -78,105 +63,48 @@ class CurrentSample:
 MAX_MOMENT_ORDER = 3
 
 
-# -- closed-form damped integrals -------------------------------------------
-
-def _osc_moments(order: int, alphas: np.ndarray, k: float) -> np.ndarray:
-    """B_n(alpha, k) for n = 0..order; shape (order+1, n_alpha)."""
-    s_m = alphas - 1j * k
-    s_p = alphas + 1j * k
-    n = np.arange(order + 1)[:, None]
-    return factorial(n) * (s_m ** -(n + 1) + (-1.0) ** n * s_p ** -(n + 1))
-
-
-def _pv_base(alphas: np.ndarray, k: float, p0: float) -> np.ndarray:
-    """P(alpha, k, p0) = vp integral e^{-alpha|p|} e^{ikp}/(p - p0) dp."""
-    if p0 == 0.0:
-        return 2j * np.arctan(k / alphas)
-
-    def half_line(s, y):
-        # vp integral_0^inf e^{-s p}/(p - y) dp
-        if y < 0:
-            return np.exp(-s * y) * exp1(-s * y)
-        return -np.exp(-s * y) * expi(s * y)
-
-    return half_line(alphas - 1j * k, p0) - half_line(alphas + 1j * k, -p0)
-
-
-def _pole_moment(order: int, alphas: np.ndarray, k: float, p0: float) -> np.ndarray:
-    """Z_n = integral p^n e^{-alpha|p|} e^{i k (p - p0)} / (p - p0) dp."""
-    b = _osc_moments(max(order - 1, 0), alphas, k)
-    acc = _pv_base(alphas, k, p0) * p0 ** order
-    for j in range(order):
-        acc = acc + p0 ** (order - 1 - j) * b[j]
-    return np.exp(-1j * k * p0) * acc
-
-
-def term_damped_moments(kind, order: int, x: float, alphas) -> np.ndarray:
-    """The alpha-damped moment of one term kind at position x.
-
-    Delta lines integrate exactly and are alpha-independent; principal-value
-    and smooth oscillatory lines use the closed forms above.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if isinstance(kind, DeltaLine):
-        return np.full(alphas.shape, float(kind.weight(x)) * kind.p0 ** order)
-    if isinstance(kind, PVLine):
-        theta0 = kind.k_x * x + kind.phi0
-        kappa = kind.a_x * x + kind.b0
-        z = _pole_moment(order, alphas, kappa, kind.p0)
-        return kind.amp * (cmath.exp(1j * theta0) * z).imag
-    if isinstance(kind, Smooth):
-        theta0 = kind.k_x * x + kind.phi0
-        k1 = kind.a1 * x + kind.b1
-        k2 = kind.a2 * x + kind.b2
-        z = _pole_moment(order, alphas, k1, kind.r) - _pole_moment(order, alphas, k2, kind.r)
-        return kind.amp * (cmath.exp(1j * theta0) * z).imag
-    raise TypeError(f"unknown term kind {type(kind).__name__}")
-
-
-def _extrapolate(values: np.ndarray, policy: RegularizationPolicy) -> float:
-    """Neville extrapolation to alpha = 0 through the stated polynomial order."""
-    a = np.asarray(policy.alphas)
-    t = np.asarray(values, dtype=float).copy()
-    for m in range(1, policy.richardson_order + 1):
-        for i in range(len(t) - 1, m - 1, -1):
-            t[i] = (a[i - m] * t[i] - a[i] * t[i - 1]) / (a[i - m] - a[i])
-    scale = max(1.0, abs(t[-1]))
-    if abs(t[-1] - t[-2]) > policy.tolerance * scale:
+def _sign(kappa: float, term, order: int, x: float) -> float:
+    if kappa == 0.0:
         raise ExtrapolationError(
-            f"alpha extrapolation not Cauchy within {policy.tolerance:g}",
-            t[policy.richardson_order:])
-    return float(t[-1])
+            f"moment of order {order} diverges at x = {x}: kappa = 0 for the "
+            f"{type(term.kind).__name__} term {term.mn} {term.label!r}")
+    return math.copysign(1.0, kappa)
 
 
-def regularized_moment(dw: DistributionalWigner, order: int, x: float,
-                       policy: RegularizationPolicy | None = None,
+def _term_limit(term, order: int, x: float) -> float:
+    """alpha -> 0+ limit of the damped moment of one term at x."""
+    k = term.kind
+    if isinstance(k, DeltaLine):
+        return float(k.weight(x)) * k.p0 ** order
+    cos_theta0 = math.cos(k.k_x * x + k.phi0)
+    if isinstance(k, PVLine):
+        return (k.amp * math.pi * k.p0 ** order * cos_theta0
+                * _sign(k.a_x * x + k.b0, term, order, x))
+    if isinstance(k, Smooth):
+        signs = (_sign(k.a1 * x + k.b1, term, order, x)
+                 - _sign(k.a2 * x + k.b2, term, order, x))
+        return k.amp * math.pi * k.r ** order * signs * cos_theta0
+    raise TypeError(f"unknown term kind {type(k).__name__}")
+
+
+def regularized_moment(dw: DistributionalWigner, order: int, x: float, *,
                        component: tuple[int, int] | None = None) -> float:
-    """integral dp p^order W(p, x) in the alpha -> 0+ sense.
+    """integral dp p^order W(p, x) in the alpha -> 0+ sense (exact limit).
 
-    Sums all internal components unless ``component`` selects one.
+    Sums all internal components unless ``component`` selects one.  Raises
+    GridDomainError when x lies on a finite edge of any term's window and
+    ExtrapolationError when kappa = 0 for a term whose window contains x.
     """
     if not 0 <= order <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must lie in 0..{MAX_MOMENT_ORDER}")
-    policy = policy or RegularizationPolicy()
-    alphas = np.asarray(policy.alphas)
-    acc = np.zeros(len(alphas))
-    exact = 0.0
-    needs_limit = False
+    total = 0.0
     for t in dw.terms:
-        if component is not None and t.mn != component:
-            continue
-        if not t.window.contains(x):
-            continue
-        vals = term_damped_moments(t.kind, order, x, alphas)
-        if isinstance(t.kind, DeltaLine):
-            exact += vals[0]
-        else:
-            acc += vals
-            needs_limit = True
-    if not needs_limit:
-        return float(exact)
-    return exact + _extrapolate(acc, policy)
+        if x == t.window.lo or x == t.window.hi:
+            raise GridDomainError(
+                f"x = {x} lies on the edge of the window of term {t.mn} {t.label!r}")
+        if (component is None or t.mn == component) and t.window.contains(x):
+            total += _term_limit(t, order, x)
+    return total
 
 
 # -- densities and currents ---------------------------------------------------
@@ -187,29 +115,29 @@ def _interp_on_x(values_x: np.ndarray, grid: PhaseGrid, x: float) -> float:
     return float(np.interp(x, grid.x, values_x))
 
 
-def spatial_density(w, x: float, policy: RegularizationPolicy | None = None) -> float:
+# ``policy`` below is accepted and ignored: the moments are exact limits and need none.
+
+def spatial_density(w, x: float, policy=None) -> float:
     """rho(x) = sum_{m,n} integral dp W(p, x, phi_m, n)."""
     if isinstance(w, WignerField):
         return _interp_on_x(w.marginal_x(), w.grid, x)
-    return regularized_moment(w, 0, x, policy)
+    return regularized_moment(w, 0, x)
 
 
-def current_nonrel(w, x: float, mass: float = 1.0,
-                   policy: RegularizationPolicy | None = None) -> float:
+def current_nonrel(w, x: float, mass: float = 1.0, policy=None) -> float:
     """j(x) = (1/M) sum_{m,n} integral dp p W -- probability current."""
     if isinstance(w, WignerField):
         return _interp_on_x(current_field_nonrel(w, mass), w.grid, x)
-    return regularized_moment(w, 1, x, policy) / mass
+    return regularized_moment(w, 1, x) / mass
 
 
-def current_dirac(w, x: float, q: float = 1.0, c: float = 1.0,
-                  policy: RegularizationPolicy | None = None) -> float:
+def current_dirac(w, x: float, q: float = 1.0, c: float = 1.0, policy=None) -> float:
     """j(x) = q c integral dp [W(phi_0,0) + W(phi_0,1) - W(phi_1,0) - W(phi_1,1)]."""
     if isinstance(w, WignerField):
         return _interp_on_x(current_field_dirac(w, q, c), w.grid, x)
     total = 0.0
     for m, n, sign in ((0, 0, 1.0), (0, 1, 1.0), (1, 0, -1.0), (1, 1, -1.0)):
-        total += sign * regularized_moment(w, 0, x, policy, component=(m, n))
+        total += sign * regularized_moment(w, 0, x, component=(m, n))
     return q * c * total
 
 

@@ -14,14 +14,11 @@ class UnsupportedModelError(PhaseSpaceError):
 
 
 class ExtrapolationError(PhaseSpaceError):
-    """The alpha -> 0+ extrapolation did not settle.
+    """A regularized moment has no finite alpha -> 0+ limit.
 
-    Carries the sequence of successive estimates in ``estimates``.
+    Raised where kappa = 0 inside a term's window; the message names x, the
+    moment order and the term's (m, n) and label.
     """
-
-    def __init__(self, message: str, estimates):
-        super().__init__(message)
-        self.estimates = list(estimates)
 
 
 class EvolutionError(PhaseSpaceError):

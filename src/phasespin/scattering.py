@@ -291,17 +291,10 @@ def _n_trans_closed_form(energy: float, mass: float, c: float, v0: float) -> flo
             - energy * energy / (mc2 * v0))
 
 
-def solve_step_dirac(cfg: ScatterConfig) -> StepSolution:
-    """Dirac step scattering in the Klein regime (V0 >= E + Mc^2) or the
-    above-barrier regime (E - V0 > Mc^2).
-
-    In the Klein regime the transmitted branch has E = -sqrt(pt^2 c^2 +
-    M^2 c^4) + V0, the transmitted current is negative and R - T = 1.
-    """
-    if cfg.mode != "dirac":
-        raise ValueError("config mode must be 'dirac'")
+def _dirac_step_report(cfg: ScatterConfig) -> ScatterReport:
+    """Momenta, matching amplitudes, currents and T, R of the Dirac step."""
     regime = cfg.dirac_regime()
-    e, m, c, q, v0, hbar = cfg.energy, cfg.mass, cfg.c, cfg.q, cfg.v0, cfg.hbar
+    e, m, c, q, v0 = cfg.energy, cfg.mass, cfg.c, cfg.q, cfg.v0
     mc2 = m * c * c
     p = math.sqrt(e * e - mc2 * mc2) / c
     pt = math.sqrt((e - v0) ** 2 - mc2 * mc2) / c
@@ -314,23 +307,37 @@ def solve_step_dirac(cfg: ScatterConfig) -> StepSolution:
         n_trans = 2.0 * p * gap_out / (p * gap_out + pt * gap_in)
     n_ref = n_trans - 1.0
 
-    up_in = c * p / gap_in
-    up_out = c * pt / gap_out if gap_out != 0.0 else 0.0
-    state = SpinorWaveState(pieces=[
-        PlaneWavePiece(-math.inf, 0.0, up_in, 1.0, p),
-        PlaneWavePiece(-math.inf, 0.0, -n_ref * up_in, n_ref, -p),
-        PlaneWavePiece(0.0, math.inf, n_trans * up_out, n_trans, pt),
-    ])
-    dw = wigner_distributional(state, hbar, _PAIR_LABELS)
-
     j_inc = 2.0 * c * c * q * p / gap_in
     j_ref = -2.0 * c * c * q * p * n_ref ** 2 / gap_in
     j_trans = 2.0 * c * c * q * pt * n_trans ** 2 / gap_out if pt != 0.0 else 0.0
-    report = ScatterReport(
+    return ScatterReport(
         p=p, p_tilde=pt, j_inc=j_inc, j_ref=j_ref, j_trans=j_trans,
         transmission=abs(j_trans) / abs(j_inc), reflection=abs(j_ref) / abs(j_inc),
         n_trans=n_trans, n_ref=n_ref, regime=regime)
-    return StepSolution(report=report, wigner=dw, state=state)
+
+
+def solve_step_dirac(cfg: ScatterConfig) -> StepSolution:
+    """Dirac step scattering in the Klein regime (V0 >= E + Mc^2) or the
+    above-barrier regime (E - V0 > Mc^2).
+
+    In the Klein regime the transmitted branch has E = -sqrt(pt^2 c^2 +
+    M^2 c^4) + V0, the transmitted current is negative and R - T = 1.
+    """
+    if cfg.mode != "dirac":
+        raise ValueError("config mode must be 'dirac'")
+    rep = _dirac_step_report(cfg)
+    mc2 = cfg.mass * cfg.c * cfg.c
+    gap_in = cfg.energy - mc2
+    gap_out = cfg.energy - cfg.v0 - mc2
+    up_in = cfg.c * rep.p / gap_in
+    up_out = cfg.c * rep.p_tilde / gap_out if gap_out != 0.0 else 0.0
+    state = SpinorWaveState(pieces=[
+        PlaneWavePiece(-math.inf, 0.0, up_in, 1.0, rep.p),
+        PlaneWavePiece(-math.inf, 0.0, -rep.n_ref * up_in, rep.n_ref, -rep.p),
+        PlaneWavePiece(0.0, math.inf, rep.n_trans * up_out, rep.n_trans, rep.p_tilde),
+    ])
+    dw = wigner_distributional(state, cfg.hbar, _PAIR_LABELS)
+    return StepSolution(report=rep, wigner=dw, state=state)
 
 
 @dataclass(frozen=True)
@@ -351,28 +358,25 @@ class KleinRow:
 
 
 def klein_scan(energy: float, mass: float, c: float, q: float,
-               v0_values, workers: int = 1) -> list[KleinRow]:
-    """Transmission table over step heights in the Klein regime."""
+               v0_values) -> list[KleinRow]:
+    """Transmission table over step heights in the Klein regime.
+
+    Each row needs only the scattering report, so no Wigner function is built.
+    """
 
     def one(v0: float) -> KleinRow:
         try:
             if v0 < energy + mass * c * c:
                 raise UnsupportedModelError(
                     "scan rows must satisfy V0 >= E + Mc^2")
-            sol = solve_step_dirac(ScatterConfig(
+            rep = _dirac_step_report(ScatterConfig(
                 energy=energy, v0=v0, mass=mass, c=c, q=q, mode="dirac"))
-            rep = sol.report
             return KleinRow(v0, rep.n_trans, rep.n_ref, rep.transmission,
                             rep.reflection, rep.t_signed)
         except (UnsupportedModelError, ValueError) as exc:
             return KleinRow(v0, None, None, None, None, None, error=str(exc))
 
-    v0_list = [float(v) for v in v0_values]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, v0_list))
-    return [one(v) for v in v0_list]
+    return [one(float(v)) for v in v0_values]
 
 
 # ---------------------------------------------------------------------------

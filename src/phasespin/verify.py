@@ -15,8 +15,6 @@ import time
 import numpy as np
 
 from .continuity import (
-    RegularizationPolicy,
-    TIGHT_POLICY,
     beam_decompose,
     continuity_residual,
     correlation_moment,
@@ -214,12 +212,12 @@ def criterion_free_states() -> list[IdentityCheck]:
 
     p0, mass = 1.4, 1.0
     fn = free_eigenstate_nonrel(p0, "up", mass=mass)
-    jn = current_nonrel(fn.wigner, 0.3, mass, TIGHT_POLICY)
+    jn = current_nonrel(fn.wigner, 0.3, mass)
     checks.append(_check("free-nonrel-current",
                          abs(jn - p0 / (2.0 * math.pi * mass)), 1e-12))
     for branch, sign in (("particle", 1.0), ("antiparticle", -1.0)):
         fd = free_eigenstate_dirac(p0, branch, mass=1.0, c=1.0)
-        jd = current_dirac(fd.wigner, -0.4, q=1.0, c=1.0, policy=TIGHT_POLICY)
+        jd = current_dirac(fd.wigner, -0.4, q=1.0, c=1.0)
         want = sign * p0 / (2.0 * math.pi * math.sqrt(p0 ** 2 + 1.0))
         checks.append(_check(f"free-dirac-current-{branch}", abs(jd - want), 1e-12))
     return _timed(checks, started, 30.0)
@@ -250,7 +248,7 @@ def criterion_step_nonrel(seed: int = 2024) -> list[IdentityCheck]:
     worst_oracle = 0.0
     for xx in (-2.7, -1.1, -0.4, 0.6, 1.9, 3.3):
         want = rep.j_trans if xx > 0 else rep.j_inc + rep.j_ref
-        jm = current_nonrel(sol.wigner, xx, 1.0, TIGHT_POLICY)
+        jm = current_nonrel(sol.wigner, xx, 1.0)
         jo = oracle_current_wavefunction(sol.state, xx, "nonrel", mass=1.0)
         worst_mom = max(worst_mom, abs(jm - want))
         worst_oracle = max(worst_oracle, abs(jo - want))
@@ -308,7 +306,7 @@ def criterion_interference(seed: int = 7) -> list[IdentityCheck]:
                 continue
             for order in range(4):
                 worst_dist = max(worst_dist, abs(regularized_moment(
-                    cross, order, float(xx), TIGHT_POLICY)))
+                    cross, order, float(xx))))
                 gridv = correlation_moment(full, order, float(xx), dxi=dxi) \
                     - sum(correlation_moment(s, order, float(xx), dxi=dxi) for s in singles)
                 worst_grid = max(worst_grid, abs(gridv))

@@ -2,14 +2,18 @@
 
 These deliberately avoid the production code paths: the star-product oracle
 expands one factor in plane-wave modes and applies the half-shift rule mode
-by mode, and the moment oracle integrates the damped integrand by adaptive
-quadrature.
+by mode, the moment oracles integrate the damped integrand by adaptive
+quadrature or through its closed forms, and the alpha -> 0+ limit is reached
+by Neville extrapolation over a damping sequence.
 """
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exp1, expi, factorial
 
 from phasespin.grids import PhaseGrid
 
@@ -83,6 +87,88 @@ def quad_damped_moment(kind, order: int, x: float, alpha: float,
                   (kind.r + 5.0, np.inf)]
         return sum(quad(fn, a, b, limit=800)[0] for a, b in pieces)
     raise TypeError(type(kind).__name__)
+
+
+# -- closed-form damped moments and their extrapolated limit -----------------
+#
+# Every damped integral of a term reduces to two closed forms:
+#
+#     B_n(alpha, k) = integral p^n e^{-alpha|p|} e^{i k p} dp
+#                   = n! [ (alpha - i k)^{-(n+1)} + (-1)^n (alpha + i k)^{-(n+1)} ]
+#
+#     P(alpha, k, p0) = vp integral e^{-alpha|p|} e^{i k p} / (p - p0) dp,
+#
+# the latter expressed with exponential integrals of complex argument.
+
+#: geometric damping sequence for the Neville limit
+NEVILLE_ALPHAS = tuple(0.1 * 2.0 ** (-k) for k in range(13))
+
+
+def _osc_moments(order: int, alphas: np.ndarray, k: float) -> np.ndarray:
+    """B_n(alpha, k) for n = 0..order; shape (order+1, n_alpha)."""
+    s_m = alphas - 1j * k
+    s_p = alphas + 1j * k
+    n = np.arange(order + 1)[:, None]
+    return factorial(n) * (s_m ** -(n + 1) + (-1.0) ** n * s_p ** -(n + 1))
+
+
+def _pv_base(alphas: np.ndarray, k: float, p0: float) -> np.ndarray:
+    """P(alpha, k, p0) = vp integral e^{-alpha|p|} e^{ikp}/(p - p0) dp."""
+    if p0 == 0.0:
+        return 2j * np.arctan(k / alphas)
+
+    def half_line(s, y):
+        # vp integral_0^inf e^{-s p}/(p - y) dp
+        if y < 0:
+            return np.exp(-s * y) * exp1(-s * y)
+        return -np.exp(-s * y) * expi(s * y)
+
+    return half_line(alphas - 1j * k, p0) - half_line(alphas + 1j * k, -p0)
+
+
+def _pole_moment(order: int, alphas: np.ndarray, k: float, p0: float) -> np.ndarray:
+    """Z_n = integral p^n e^{-alpha|p|} e^{i k (p - p0)} / (p - p0) dp."""
+    b = _osc_moments(max(order - 1, 0), alphas, k)
+    acc = _pv_base(alphas, k, p0) * p0 ** order
+    for j in range(order):
+        acc = acc + p0 ** (order - 1 - j) * b[j]
+    return np.exp(-1j * k * p0) * acc
+
+
+def damped_moments(kind, order: int, x: float, alphas) -> np.ndarray:
+    """The alpha-damped moment of one term kind at position x, per alpha.
+
+    Delta lines integrate exactly and are alpha-independent; principal-value
+    and smooth oscillatory lines use the closed forms above.
+    """
+    from phasespin.distributions import DeltaLine, PVLine, Smooth
+
+    alphas = np.asarray(alphas, dtype=float)
+    if isinstance(kind, DeltaLine):
+        return np.full(alphas.shape, float(kind.weight(x)) * kind.p0 ** order)
+    theta0 = kind.k_x * x + kind.phi0
+    if isinstance(kind, PVLine):
+        z = _pole_moment(order, alphas, kind.a_x * x + kind.b0, kind.p0)
+    elif isinstance(kind, Smooth):
+        z = (_pole_moment(order, alphas, kind.a1 * x + kind.b1, kind.r)
+             - _pole_moment(order, alphas, kind.a2 * x + kind.b2, kind.r))
+    else:
+        raise TypeError(type(kind).__name__)
+    return kind.amp * (cmath.exp(1j * theta0) * z).imag
+
+
+def neville_moment(dw, order: int, x: float) -> float:
+    """alpha -> 0+ moment of a term list: Neville extrapolation of the summed
+    damped forms through polynomials of order 4 in alpha."""
+    a = np.asarray(NEVILLE_ALPHAS)
+    t = np.zeros(len(a))
+    for term in dw.terms:
+        if term.window.contains(x):
+            t += damped_moments(term.kind, order, x, a)
+    for m in range(1, 5):
+        for i in range(len(t) - 1, m - 1, -1):
+            t[i] = (a[i - m] * t[i] - a[i] * t[i - 1]) / (a[i - m] - a[i])
+    return float(t[-1])
 
 
 def windowed_linear_star(x: np.ndarray, p: np.ndarray, s: float, hbar: float) -> np.ndarray:

@@ -95,6 +95,12 @@ class TestCliProcess:
     def test_bad_v0_range_exits_nonzero(self):
         assert main(["klein-scan", "--v0", "5:1:-2"]) == 2
 
+    @pytest.mark.parametrize("energy,v0", [("2", "2"), ("0.5", "5")])
+    def test_unsupported_dirac_step_exits_2(self, energy, v0, capsys):
+        # the evanescent window and E <= Mc^2 are typed errors, not failed checks
+        assert main(["step", "--mode", "dirac", "--e", energy, "--v0", v0]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "phasespin.cli", "free-dirac", "--p", "0.5"],

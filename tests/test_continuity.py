@@ -20,8 +20,6 @@ from phasespin import (
     hamilton_symbol,
 )
 from phasespin.continuity import (
-    RegularizationPolicy,
-    TIGHT_POLICY,
     beam_decompose,
     continuity_residual,
     correlation_moment,
@@ -30,7 +28,6 @@ from phasespin.continuity import (
     oracle_current_wavefunction,
     regularized_moment,
     spatial_density,
-    term_damped_moments,
 )
 from phasespin.scattering import (
     ScatterConfig,
@@ -41,30 +38,13 @@ from phasespin.scattering import (
 )
 from phasespin.star import evolve
 
-from oracles import quad_damped_moment
-
-
-class TestPolicy:
-    def test_default_sequence(self):
-        pol = RegularizationPolicy()
-        assert pol.alphas[0] == pytest.approx(0.1)
-        assert len(pol.alphas) == 13
-        assert all(b < a for a, b in zip(pol.alphas, pol.alphas[1:]))
-        assert pol.richardson_order == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RegularizationPolicy(alphas=(0.1, 0.2))
-        with pytest.raises(ValueError):
-            RegularizationPolicy(alphas=(0.1, -0.05, 0.01))
-        with pytest.raises(ValueError):
-            RegularizationPolicy(alphas=(0.1, 0.05), richardson_order=3)
+from oracles import damped_moments, neville_moment, quad_damped_moment
 
 
 class TestRegularizedMoment:
     def test_delta_line_exact_and_alpha_independent(self):
         kind = DeltaLine(p0=1.5, amp=2.0, k_x=0.7)
-        vals = term_damped_moments(kind, 2, 0.3, np.array([0.1, 0.01]))
+        vals = damped_moments(kind, 2, 0.3, np.array([0.1, 0.01]))
         want = 2.0 * math.cos(0.7 * 0.3) * 1.5 ** 2
         assert np.array_equal(vals, [want, want])
         dw = DistributionalWigner((Term((0, 0), FULL_LINE, kind),))
@@ -77,8 +57,8 @@ class TestRegularizedMoment:
         kind = Smooth.sinc_line(r=pt, amp=1.0 / math.pi, a=2.0)
         dw = DistributionalWigner((Term((0, 1), RIGHT_HALF, kind),))
         for x in (0.2, 1.0, 4.0):
-            assert regularized_moment(dw, 1, x, TIGHT_POLICY) == pytest.approx(pt, abs=1e-12)
-            assert regularized_moment(dw, 0, x, TIGHT_POLICY) == pytest.approx(1.0, abs=1e-12)
+            assert regularized_moment(dw, 1, x) == pytest.approx(pt, abs=1e-12)
+            assert regularized_moment(dw, 0, x) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_damped_values_match_quadrature(self, order):
@@ -90,7 +70,7 @@ class TestRegularizedMoment:
         ]
         x, alpha = 0.9, 0.05
         for kind in terms:
-            mine = term_damped_moments(kind, order, x, np.array([alpha]))[0]
+            mine = damped_moments(kind, order, x, np.array([alpha]))[0]
             orc = quad_damped_moment(kind, order, x, alpha)
             assert mine == pytest.approx(orc, rel=2e-6, abs=2e-6)
 
@@ -98,9 +78,9 @@ class TestRegularizedMoment:
         t1 = Term((0, 0), FULL_LINE, PVLine(p0=0.2, amp=0.4, a_x=2.0))
         t2 = Term((0, 0), FULL_LINE, Smooth.sinc_line(r=-0.3, amp=0.8, a=2.0))
         x = 0.7
-        joint = regularized_moment(DistributionalWigner((t1, t2)), 1, x, TIGHT_POLICY)
-        split = (regularized_moment(DistributionalWigner((t1,)), 1, x, TIGHT_POLICY)
-                 + regularized_moment(DistributionalWigner((t2,)), 1, x, TIGHT_POLICY))
+        joint = regularized_moment(DistributionalWigner((t1, t2)), 1, x)
+        split = (regularized_moment(DistributionalWigner((t1,)), 1, x)
+                 + regularized_moment(DistributionalWigner((t2,)), 1, x))
         assert joint == pytest.approx(split, abs=1e-13)
 
     def test_order_cap(self):
@@ -117,14 +97,26 @@ class TestRegularizedMoment:
         assert regularized_moment(dw, 1, 0.0, component=(1, 1)) == 2.0
         assert regularized_moment(dw, 1, 0.0) == 3.0
 
-    def test_non_cauchy_extrapolation_raises(self):
-        kind = PVLine(p0=0.4, amp=1.0, k_x=0.0, phi0=0.4, a_x=2.0)
-        dw = DistributionalWigner((Term((0, 0), FULL_LINE, kind),))
-        bad = RegularizationPolicy(alphas=(0.9, 0.5, 0.28), richardson_order=1,
-                                   tolerance=1e-14)
-        with pytest.raises(ExtrapolationError) as err:
-            regularized_moment(dw, 1, 1.3, bad)
-        assert len(err.value.estimates) >= 2
+    def test_zero_kappa_raises(self):
+        # kappa = 2x vanishes at x = 0 inside the full-line window
+        kind = PVLine(p0=0.4, amp=1.0, phi0=0.4, a_x=2.0)
+        dw = DistributionalWigner((Term((0, 1), FULL_LINE, kind, "inc-ref"),))
+        with pytest.raises(ExtrapolationError, match=r"order 1 .*x = 0\.0.*\(0, 1\) 'inc-ref'"):
+            regularized_moment(dw, 1, 0.0)
+
+    def test_exact_limit_matches_neville_oracle(self):
+        solutions = [
+            solve_step_nonrel(ScatterConfig(energy=1.0, v0=0.5, mode="nonrel",
+                                            spin_up=0.6, spin_down=0.8)),
+            solve_step_dirac(ScatterConfig(energy=2.0, v0=5.0, mode="dirac")),
+            solve_step_dirac(ScatterConfig(energy=5.0, v0=1.5, mode="dirac")),
+        ]
+        for sol in solutions:
+            for x in (-3.1, -1.2, -0.35, 0.2, 0.9, 2.7):
+                for order in range(4):
+                    got = regularized_moment(sol.wigner, order, x)
+                    want = neville_moment(sol.wigner, order, x)
+                    assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestInterferenceMoments:
@@ -142,7 +134,7 @@ class TestInterferenceMoments:
             cross = wigner_distributional(st, 1.0, {frozenset((0, 1)): "x"}).filtered("x")
             for x in rng.uniform(lo[0], lo[3], size=3):
                 for order in range(4):
-                    val = regularized_moment(cross, order, float(x), TIGHT_POLICY)
+                    val = regularized_moment(cross, order, float(x))
                     assert abs(val) < 1e-12
 
     def test_incident_reflected_cross_has_no_current(self):
@@ -156,9 +148,9 @@ class TestInterferenceMoments:
         cross = wigner_distributional(st, 1.0, {frozenset((0, 1)): "x"}).filtered("x")
         for x in (-2.2, -0.7):
             for order in (1, 2, 3):
-                assert abs(regularized_moment(cross, order, x, TIGHT_POLICY)) < 1e-12
+                assert abs(regularized_moment(cross, order, x)) < 1e-12
             # order zero does contribute (the density oscillates)
-        assert abs(regularized_moment(cross, 0, -0.7, TIGHT_POLICY)) > 1e-3
+        assert abs(regularized_moment(cross, 0, -0.7)) > 1e-3
 
 
 class TestDensitiesAndCurrents:
@@ -193,14 +185,14 @@ class TestDensitiesAndCurrents:
 
     def test_free_current_values(self):
         free = free_eigenstate_nonrel(1.4, "down", mass=2.0)
-        assert current_nonrel(free.wigner, 0.0, mass=2.0, policy=TIGHT_POLICY) == \
+        assert current_nonrel(free.wigner, 0.0, mass=2.0) == \
             pytest.approx(1.4 / (2 * math.pi * 2.0), abs=1e-13)
         fd = free_eigenstate_dirac(0.6, "particle")
         want = 0.6 / (2 * math.pi * math.sqrt(0.36 + 1))
-        assert current_dirac(fd.wigner, 0.0, policy=TIGHT_POLICY) == \
+        assert current_dirac(fd.wigner, 0.0) == \
             pytest.approx(want, abs=1e-13)
         assert current_dirac(free_eigenstate_dirac(0.6, "antiparticle").wigner,
-                             0.0, policy=TIGHT_POLICY) == pytest.approx(-want, abs=1e-13)
+                             0.0) == pytest.approx(-want, abs=1e-13)
 
     def test_all_equal_components_cancel_dirac_current(self):
         dw = DistributionalWigner(tuple(
@@ -211,9 +203,31 @@ class TestDensitiesAndCurrents:
     def test_step_density_matches_wavefunction(self):
         sol = solve_step_nonrel(ScatterConfig(energy=1.0, v0=0.5, mode="nonrel"))
         for x in (-1.7, -0.3, 0.4, 2.6):
-            rho = spatial_density(sol.wigner, x, TIGHT_POLICY)
+            rho = spatial_density(sol.wigner, x)
             psi = sol.state.evaluate(np.array([x]))[:, 0]
             assert rho == pytest.approx(float(np.vdot(psi, psi).real), abs=1e-11)
+
+    def test_klein_values_next_to_the_step(self):
+        sol = solve_step_dirac(ScatterConfig(energy=2.0, v0=5.0, mode="dirac"))
+        for x in (1e-6, 1e-5, 1e-4, -1e-4):
+            psi = sol.state.evaluate(np.array([x]))[:, 0]
+            rho = float(np.vdot(psi, psi).real)
+            j = oracle_current_wavefunction(sol.state, x, "dirac")
+            assert spatial_density(sol.wigner, x) == pytest.approx(rho, rel=1e-9)
+            assert current_dirac(sol.wigner, x) == pytest.approx(j, rel=1e-9)
+
+    def test_step_edge_raises_and_sides_are_exact(self):
+        from phasespin import GridDomainError
+        sol = solve_step_nonrel(ScatterConfig(energy=1.0, v0=0.5, mode="nonrel"))
+        with pytest.raises(GridDomainError):
+            spatial_density(sol.wigner, 0.0)
+        with pytest.raises(GridDomainError):
+            current_nonrel(sol.wigner, 0.0)
+        with pytest.raises(GridDomainError):
+            current_dirac(sol.wigner, 0.0)
+        for x in (-1e-3, 1e-3):
+            assert spatial_density(sol.wigner, x) == pytest.approx(1.0, abs=1e-6)
+            assert current_nonrel(sol.wigner, x) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestOracleCurrent:
@@ -294,7 +308,7 @@ class TestCorrelationMoment:
         free = free_eigenstate_nonrel(1.2, "up")
         for order in range(4):
             a = correlation_moment(free.state, order, 0.4, dxi=0.01)
-            b = regularized_moment(free.wigner, order, 0.4, TIGHT_POLICY)
+            b = regularized_moment(free.wigner, order, 0.4)
             assert a == pytest.approx(b, rel=1e-4, abs=1e-10)
 
     def test_component_resolution(self):
@@ -303,8 +317,7 @@ class TestCorrelationMoment:
         # 2.4e-7 at dxi = 1e-3
         for mn, want in (((0, 0), 0.0), ((0, 1), 0.6 / math.pi / 2)):
             got = correlation_moment(free.state, 1, 0.0, dxi=1e-3, component=mn)
-            want_exact = regularized_moment(free.wigner, 1, 0.0, TIGHT_POLICY,
-                                            component=mn)
+            want_exact = regularized_moment(free.wigner, 1, 0.0, component=mn)
             assert got == pytest.approx(want_exact, rel=1e-6, abs=1e-12)
 
 

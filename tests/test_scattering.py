@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasespin import DeltaLine, UnsupportedModelError
-from phasespin.continuity import TIGHT_POLICY, current_dirac, current_nonrel, \
+from phasespin.continuity import current_dirac, current_nonrel, \
     oracle_current_wavefunction, regularized_moment
 from phasespin.scattering import (
     ScatterConfig,
@@ -34,7 +34,7 @@ class TestFreeNonrel:
     def test_current_value(self):
         free = free_eigenstate_nonrel(0.9, "up", mass=1.5)
         assert free.current == pytest.approx(0.9 / (2 * math.pi * 1.5), rel=1e-15)
-        assert current_nonrel(free.wigner, 1.0, 1.5, TIGHT_POLICY) == \
+        assert current_nonrel(free.wigner, 1.0, 1.5) == \
             pytest.approx(free.current, abs=1e-13)
 
     def test_mixture_coefficients(self):
@@ -142,7 +142,7 @@ class TestStepNonrel:
         rep = sol.report
         for x in (-2.0, -0.6, 0.8, 2.4):
             want = rep.j_trans if x > 0 else rep.j_inc + rep.j_ref
-            assert current_nonrel(sol.wigner, x, 1.0, TIGHT_POLICY) == \
+            assert current_nonrel(sol.wigner, x, 1.0) == \
                 pytest.approx(want, abs=1e-11)
             assert oracle_current_wavefunction(sol.state, x, "nonrel") == \
                 pytest.approx(want, abs=1e-13)
@@ -193,7 +193,7 @@ class TestStepDirac:
         rep = sol.report
         for x in (-1.4, 0.9):
             want = rep.j_trans if x > 0 else rep.j_inc + rep.j_ref
-            assert current_dirac(sol.wigner, x, policy=TIGHT_POLICY) == \
+            assert current_dirac(sol.wigner, x) == \
                 pytest.approx(want, abs=1e-10)
             assert oracle_current_wavefunction(sol.state, x, "dirac") == \
                 pytest.approx(want, abs=1e-12)
@@ -204,7 +204,7 @@ class TestStepDirac:
         kept = sol.current_terms()
         for x in (-1.1, 0.7):
             want = rep.j_trans if x > 0 else rep.j_inc + rep.j_ref
-            assert current_dirac(kept, x, policy=TIGHT_POLICY) == \
+            assert current_dirac(kept, x) == \
                 pytest.approx(want, abs=1e-10)
 
 
@@ -236,12 +236,6 @@ class TestKleinScan:
         assert all(b >= a - 1e-12 for a, b in zip(ts, ts[1:]))
         asym = (3 + math.sqrt(3)) * (1 + math.sqrt(3))
         assert ts[-1] == pytest.approx(asym, abs=1e-3)
-
-    def test_parallel_scan_matches_serial(self):
-        v0s = [3.5, 4.5, 6.0, 9.0]
-        serial = klein_scan(2.0, 1.0, 1.0, 1.0, v0s)
-        parallel = klein_scan(2.0, 1.0, 1.0, 1.0, v0s, workers=4)
-        assert [r.transmission for r in serial] == [r.transmission for r in parallel]
 
 
 class TestExactEigenChecks:

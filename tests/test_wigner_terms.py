@@ -27,7 +27,7 @@ from phasespin import (
     sample_distributional,
     PhaseGrid,
 )
-from phasespin.continuity import TIGHT_POLICY, regularized_moment
+from phasespin.continuity import regularized_moment
 from phasespin.scattering import ScatterConfig, solve_step_dirac, solve_step_nonrel
 
 HBAR = 1.0
@@ -164,8 +164,8 @@ class TestStepTermFamilies:
             p0=(P + PT) / 2, amp=(1 + R) / (4 * math.pi),
             k_x=(P - PT) / HBAR, a_x=2.0 * np.sign(x) / HBAR))
         for order in range(4):
-            a = regularized_moment(DistributionalWigner((mine,)), order, x, TIGHT_POLICY)
-            b = regularized_moment(DistributionalWigner((alt,)), order, x, TIGHT_POLICY)
+            a = regularized_moment(DistributionalWigner((mine,)), order, x)
+            b = regularized_moment(DistributionalWigner((alt,)), order, x)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_pv_phase_against_damped_overlap_integral(self):
@@ -244,7 +244,7 @@ class TestMarginalAndGridConsistency:
     def test_marginal_equals_position_density(self, step_solution):
         sol = step_solution
         for x in (-2.4, -0.9, 0.7, 2.2):
-            rho = regularized_moment(sol.wigner, 0, x, TIGHT_POLICY)
+            rho = regularized_moment(sol.wigner, 0, x)
             psi = sol.state.evaluate(np.array([x]), HBAR)[:, 0]
             assert rho == pytest.approx(float(np.vdot(psi, psi).real), abs=1e-11)
 
